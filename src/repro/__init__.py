@@ -22,20 +22,32 @@ substrate); :mod:`repro.core` (the paper's S3/S4), :mod:`repro.privacy`,
 :mod:`repro.analysis`, :mod:`repro.cli` (evaluation).
 """
 
-from repro.core import (
-    CryptoMode,
-    NodeMetrics,
-    ProtocolConfig,
-    RoundMetrics,
-    S3Config,
-    S3Engine,
-    S4Config,
-    S4Engine,
-)
-from repro.errors import ReproError
-from repro.field import MERSENNE_61, MERSENNE_127, PrimeField
-from repro.sss import ShamirScheme
-from repro.topology.testbeds import TestbedSpec, dcube, flocklab, testbed_by_name
+from __future__ import annotations
+
+import importlib
+
+#: Public name -> defining module, imported on first attribute access
+#: (PEP 562), so ``import repro.service`` does not pay for the protocol
+#: engines, the MiniCast simulator or the testbeds.
+_EXPORTS = {
+    "CryptoMode": "repro.core.config",
+    "ProtocolConfig": "repro.core.config",
+    "S3Config": "repro.core.config",
+    "S4Config": "repro.core.config",
+    "NodeMetrics": "repro.core.metrics",
+    "RoundMetrics": "repro.core.metrics",
+    "S3Engine": "repro.core.s3",
+    "S4Engine": "repro.core.s4",
+    "ReproError": "repro.errors",
+    "PrimeField": "repro.field.prime_field",
+    "MERSENNE_61": "repro.field.prime_field",
+    "MERSENNE_127": "repro.field.prime_field",
+    "ShamirScheme": "repro.sss.scheme",
+    "TestbedSpec": "repro.topology.testbeds",
+    "flocklab": "repro.topology.testbeds",
+    "dcube": "repro.topology.testbeds",
+    "testbed_by_name": "repro.topology.testbeds",
+}
 
 __version__ = "1.0.0"
 
@@ -59,3 +71,16 @@ __all__ = [
     "testbed_by_name",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -35,15 +35,22 @@ import dataclasses
 import os
 import random
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import diskcache, fastpath
 from repro.core.config import CryptoMode
 from repro.core.metrics import METRICS_MODES, RoundSummary
 from repro.errors import ConfigurationError
 from repro.topology.testbeds import TestbedSpec
+
+if TYPE_CHECKING:
+    # Imported where the pool is built: the process-pool module pulls in
+    # multiprocessing (1–2 MB of RSS), which importers that never fan out —
+    # the service stack reaches this module through analysis.sharding —
+    # should not pay for.
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Environment knob consulted when no explicit worker count is given.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -442,6 +449,7 @@ class CampaignExecutor:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
             # Spawn workers re-import the library from scratch, but the
             # spawn preparation data carries the parent's sys.path, so a

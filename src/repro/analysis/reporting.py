@@ -8,10 +8,15 @@ the success/consistency columns an implementation has to be honest about.
 from __future__ import annotations
 
 import io
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.analysis.experiments import Figure1Result
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    # Annotation only: importing the runners here would make this module
+    # the entry point of the experiments -> scenarios -> reporting cycle
+    # whenever it is imported before repro.analysis.experiments.
+    from repro.analysis.experiments import Figure1Result
 
 
 def format_table(

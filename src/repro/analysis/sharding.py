@@ -86,33 +86,23 @@ def _mpc_cell_rounds(
     """Run one cell's aggregation rounds on the MPC data path only.
 
     Exactly the share algebra of a protocol round, minus the radio: each
-    member deals its secret over ``degree + 1`` collector points
-    (batched, :meth:`ShamirScheme.split_many`), collectors sum what they
-    receive, and the batched reconstruction recovers every round's cell
-    sum in one pass.  Returns ``(sums, expected)`` per round.
+    member deals its secret over ``degree + 1`` collector points and
+    collectors sum what they receive (one batched
+    :meth:`ShamirScheme.deal_point_sums` per round), and the batched
+    reconstruction recovers every round's cell sum in one pass.  Returns ``(sums, expected)`` per round.
     """
     from repro.analysis.experiments import round_secrets
 
     field = PrimeField()
     scheme = ShamirScheme(field, degree)
-    points = list(range(1, degree + 2))
-    prime = field.prime
+    points = range(1, degree + 2)
     sums_batch: list[dict[int, int]] = []
     expected: list[int] = []
     for iteration in range(iterations):
-        secrets = round_secrets(node_ids, iteration)
+        secrets = list(round_secrets(node_ids, iteration).values())
         rng = _round_rng(seed, iteration)
-        batches = scheme.split_many(
-            list(secrets.values()), points, rng, dealer_ids=list(secrets)
-        )
-        point_sums = dict.fromkeys(points, 0)
-        for shares in batches:
-            for share in shares:
-                point_sums[share.x.value] = (
-                    point_sums[share.x.value] + share.y.value
-                ) % prime
-        sums_batch.append(point_sums)
-        expected.append(sum(secrets.values()) % prime)
+        sums_batch.append(scheme.deal_point_sums(secrets, points, rng))
+        expected.append(sum(secrets) % field.prime)
     values = reconstruct_many_from_sums(field, sums_batch, degree)
     return [value.value for value in values], expected
 

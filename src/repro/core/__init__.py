@@ -15,12 +15,27 @@
 * :mod:`repro.core.s4` — **S4**, the scalable variant (collector-trimmed
   chain, low profiled NTX, truncated schedule, early radio-off).
 * :mod:`repro.core.metrics` — per-node and per-round metric containers.
+
+The names below resolve on first access (PEP 562), so importing one
+submodule — the service stack needs only ``config`` and ``metrics`` —
+does not load the protocol engines.
 """
 
-from repro.core.config import CryptoMode, ProtocolConfig, S3Config, S4Config
-from repro.core.metrics import NodeMetrics, RoundMetrics
-from repro.core.s3 import S3Engine
-from repro.core.s4 import S4Engine
+from __future__ import annotations
+
+import importlib
+
+#: Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "CryptoMode": "repro.core.config",
+    "ProtocolConfig": "repro.core.config",
+    "S3Config": "repro.core.config",
+    "S4Config": "repro.core.config",
+    "NodeMetrics": "repro.core.metrics",
+    "RoundMetrics": "repro.core.metrics",
+    "S3Engine": "repro.core.s3",
+    "S4Engine": "repro.core.s4",
+}
 
 __all__ = [
     "CryptoMode",
@@ -32,3 +47,16 @@ __all__ = [
     "S3Engine",
     "S4Engine",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -101,8 +101,8 @@ _LAYOUT_POOL_MAX = 4096
 #: for a given destination-point tuple is replayable: repeated rounds —
 #: warm service restarts, re-run campaigns, the steady-state bench —
 #: skip the DRBG draws and the Horner pass entirely and still produce
-#: bit-identical packets.  Same precedent as the cipher pool in
-#: :mod:`repro.crypto.prng` and the coverage-row disk cache.
+#: bit-identical packets.  Same precedent as the coverage-row disk
+#: cache.
 _DEAL_POOL: dict[tuple, list[int]] = {}
 _DEAL_POOL_MAX = 16384
 

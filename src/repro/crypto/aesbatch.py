@@ -34,9 +34,10 @@ if HAVE_NUMPY:
     _S = _np.array(list(_SBOX), dtype=_np.uint32)
 
 #: Cached per-cipher round-key rows (uint32, length 44), keyed by id().
-#: Ciphers are pooled process-wide by the fast path, so ids are stable
-#: for the lifetime of the entries; the cache is cleared wholesale when
-#: it grows past the bound.
+#: The callers' pairwise codec ciphers are pooled process-wide by
+#: :mod:`repro.core.protocol`, so rows are reused round after round;
+#: each entry holds its cipher, so an id() is never recycled while
+#: cached.  The cache is cleared wholesale when it grows past the bound.
 _KEY_ROWS: dict[int, "tuple[AES128, object]"] = {}
 _KEY_ROWS_MAX = 8192
 

@@ -31,14 +31,6 @@ from repro import fastpath
 from repro.crypto.aes import AES128, BLOCK_SIZE
 from repro.errors import CryptoError
 
-#: Process-wide cipher pool (fast path): protocol randomness is seeded
-#: deterministically, so identical campaigns re-derive identical DRBG
-#: keys — pooling the expanded schedules makes repeat campaigns skip the
-#: per-key setup entirely.  AES128 objects are immutable after
-#: construction, so sharing is safe.
-_CIPHER_POOL: dict[bytes, AES128] = {}
-_CIPHER_POOL_MAX = 8192
-
 #: Maximum keystream blocks generated per refill on the fast path.
 #: Prefetching ahead of demand is free: CTR output depends only on the
 #: counter, so the stream a consumer sees is identical regardless of batch
@@ -50,10 +42,13 @@ _FAST_REFILL_BLOCKS_MAX = 32
 
 #: Minimum refill size (blocks) worth routing through the numpy lane
 #: kernel.  Below this the per-call numpy dispatch overhead exceeds the
-#: scalar T-table loop; above it the lane kernel's ~an-order-of-magnitude
-#: per-block advantage dominates.  Bulk consumers (``random_bytes`` of
-#: whole buffers, the maskbatch sampler) blow straight past it.
-_LANE_REFILL_BLOCKS_MIN = 16
+#: scalar T-table loop: measured on a 2-vCPU x86 guest, the lane kernel
+#: costs about 52 / 27 / 15 / 8 µs per block at 16 / 32 / 64 / 128
+#: blocks against about 17-22 µs scalar (one stream, or ``prefill_many``
+#: over several), crossing over between 48 and 64 blocks.  Bulk
+#: consumers (a cell deal's coefficient prefill, the maskbatch sampler)
+#: blow straight past it.
+_LANE_REFILL_BLOCKS_MIN = 64
 
 
 def _lane_keystream_available() -> bool:
@@ -92,18 +87,9 @@ class AesCtrDrbg:
         if len(key) != 16:
             raise CryptoError(f"DRBG key must be 16 bytes, got {len(key)}")
         self._key = key
-        if fastpath.enabled():
-            cipher = _CIPHER_POOL.get(key)
-            if cipher is None:
-                cipher = AES128(key)
-                if len(_CIPHER_POOL) >= _CIPHER_POOL_MAX:
-                    _CIPHER_POOL.clear()
-                _CIPHER_POOL[key] = cipher
-            self._cipher = cipher
-            self._batching = True
-        else:
-            self._cipher = AES128(key)
-            self._batching = False
+        # Expanded on first keystream use (see ``_keyed_cipher``).
+        self._cipher: AES128 | None = None
+        self._batching = fastpath.enabled()
         self._counter = 0
         self._buffer = b""
         self._offset = 0
@@ -129,6 +115,20 @@ class AesCtrDrbg:
         """
         return self._key
 
+    def _keyed_cipher(self) -> AES128:
+        """The stream's cipher, with its key schedule expanded on first use.
+
+        Many DRBGs never produce a byte: a dealer fork whose shares the
+        dealt-share pool in :mod:`repro.core.protocol` already holds is
+        only a key.  Expanding lazily keeps those forks free without a
+        process-wide cipher pool.  The table mode follows the path the
+        DRBG was built on, as an eagerly built cipher would.
+        """
+        cipher = self._cipher
+        if cipher is None:
+            cipher = self._cipher = AES128(self._key, use_tables=self._batching)
+        return cipher
+
     def _generate_blocks(self, count: int) -> bytes:
         """``count`` keystream blocks from the current counter position.
 
@@ -141,10 +141,12 @@ class AesCtrDrbg:
             if _lane_keystream_available():
                 from repro.crypto import aesbatch
 
-                fresh = aesbatch.ctr_keystream(self._cipher, self._counter, count)
+                fresh = aesbatch.ctr_keystream(
+                    self._keyed_cipher(), self._counter, count
+                )
                 self._counter += count
                 return fresh
-        fresh = self._cipher.ctr_blocks(self._counter, count)
+        fresh = self._keyed_cipher().ctr_blocks(self._counter, count)
         self._counter += count
         return fresh
 
@@ -270,7 +272,7 @@ class AesCtrDrbg:
             from repro.crypto import aesbatch
 
             streams = aesbatch.ctr_keystream_many(
-                [drbg._cipher for drbg in pending],
+                [drbg._keyed_cipher() for drbg in pending],
                 [drbg._counter for drbg in pending],
                 counts,
             )

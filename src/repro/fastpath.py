@@ -122,7 +122,6 @@ def clear_process_caches() -> None:
     this module dependency-free at import time.
     """
     from repro.core import protocol
-    from repro.crypto import prng
     from repro.field import lagrange
     from repro.phy import link
 
@@ -131,5 +130,4 @@ def clear_process_caches() -> None:
     protocol._CODEC_POOL.clear()
     protocol._LAYOUT_POOL.clear()
     protocol._DEAL_POOL.clear()
-    prng._CIPHER_POOL.clear()
     lagrange.SHARED_WEIGHTS.clear()

@@ -19,6 +19,11 @@ ints:
   ``pow(x, -1, p)`` (much faster than a Python-level extended Euclid);
 * :func:`horner_eval` / :func:`horner_eval_many` — dealer-polynomial
   evaluation without intermediate ``FieldElement`` objects;
+* :func:`horner_eval_matrix_m61` / :func:`horner_point_sums_m61` — the
+  numpy form of Horner over a whole ``(dealers × points)`` deal in the
+  Mersenne-61 field, where the fold *does* win: ``uint64`` lanes, the
+  accumulator split into 32-bit halves so no product overflows (numpy
+  is optional; callers guard on :data:`HAVE_NUMPY`);
 * :func:`lagrange_weight_values` — Lagrange basis weights with a single
   batched inversion (Montgomery's trick: ``k`` inverses for the price of
   one ``pow(x, -1, p)`` and ``3k`` multiplications).
@@ -33,8 +38,21 @@ from typing import Sequence
 
 from repro.errors import InterpolationError, NonInvertibleError
 
+try:  # pragma: no cover - import guard
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
+HAVE_NUMPY = _np is not None
+
 #: The Mersenne prime 2**61 - 1, the library-wide default modulus.
 M61 = (1 << 61) - 1
+
+#: Points accepted by the matrix Horner are below this bound: with the
+#: accumulator split into a high half below ``2**29`` and a low half
+#: below ``2**32``, both partial products stay below ``2**61`` and the
+#: folded sum below ``2**64``.
+M61_MATRIX_POINT_LIMIT = 1 << 29
 
 
 def mod_mersenne61(x: int) -> int:
@@ -94,6 +112,71 @@ def horner_eval_many(
             accumulator = (accumulator * x + coefficient) % prime
         results.append(accumulator)
     return results
+
+
+def words_m61(raw: bytes):
+    """``raw`` read as big-endian 8-byte words, each ``>> 3``.
+
+    One word per 8 bytes: the candidates a byte-stream generator's
+    ``getrandbits(61)`` returns, as a writable ``uint64`` array.
+    """
+    return _np.frombuffer(raw, dtype=">u8") >> _np.uint64(3)
+
+
+def horner_eval_matrix_m61(constants, coefficients, xs):
+    """Every dealer polynomial at every point over GF(2**61 - 1), on numpy.
+
+    Dealer ``d``'s polynomial is ``constants[d] + coefficients[d][0]*x +
+    ... + coefficients[d][-1]*x**degree`` (canonical residues); ``xs``
+    are canonical points below :data:`M61_MATRIX_POINT_LIMIT`.  Returns a
+    ``uint64`` ``(dealers, points)`` matrix whose row ``d`` equals
+    ``horner_eval_many([constants[d], *coefficients[d]], xs, M61)``.
+
+    Each step computes ``acc * x`` as ``hi * x * 2**32 + lo * x`` with
+    ``acc = hi * 2**32 + lo`` and folds ``2**61 ≡ 1``; the accumulator
+    stays below ``M61 + 3`` between steps (so ``hi <= 2**29``) and is
+    canonicalised once at the end.
+    """
+    u64 = _np.uint64
+    constants = _np.asarray(constants, dtype=u64)
+    coefficients = _np.asarray(coefficients, dtype=u64)
+    x = _np.asarray(xs, dtype=u64)
+    shape = (len(constants), len(x))
+    mask32, mask29, m61 = u64(0xFFFFFFFF), u64((1 << 29) - 1), u64(M61)
+    shift32, shift29, shift61 = u64(32), u64(29), u64(61)
+    acc = _np.zeros(shape, dtype=u64)
+    t = _np.empty(shape, dtype=u64)
+    s = _np.empty(shape, dtype=u64)
+    columns = [coefficients[:, j, None] for j in range(coefficients.shape[1])]
+    for column in (*reversed(columns), constants[:, None]):
+        # t = hi * x;  t * 2**32 ≡ (t >> 29) + ((t & (2**29 - 1)) << 32).
+        _np.right_shift(acc, shift32, out=t)
+        _np.multiply(t, x, out=t)
+        _np.bitwise_and(acc, mask32, out=s)
+        _np.multiply(s, x, out=s)
+        _np.add(s, column, out=s)
+        _np.add(s, t >> shift29, out=s)
+        _np.bitwise_and(t, mask29, out=t)
+        _np.left_shift(t, shift32, out=t)
+        _np.add(s, t, out=s)
+        _np.bitwise_and(s, m61, out=acc)
+        _np.right_shift(s, shift61, out=s)
+        _np.add(acc, s, out=acc)
+    _np.subtract(acc, m61, out=acc, where=acc >= m61)
+    return acc
+
+
+def horner_point_sums_m61(constants, coefficients, xs) -> list[int]:
+    """``Σ_d f_d(x) mod M61`` for every ``x`` in ``xs``.
+
+    The per-point column sums of :func:`horner_eval_matrix_m61`, summed
+    exactly: the 32-bit halves of up to ``2**32`` canonical residues
+    cannot overflow a ``uint64`` column sum.
+    """
+    values = horner_eval_matrix_m61(constants, coefficients, xs)
+    high = (values >> _np.uint64(32)).sum(axis=0, dtype=_np.uint64).tolist()
+    low = (values & _np.uint64(0xFFFFFFFF)).sum(axis=0, dtype=_np.uint64).tolist()
+    return [((h << 32) + l) % M61 for h, l in zip(high, low)]
 
 
 def batch_inverse(values: Sequence[int], prime: int) -> list[int]:

@@ -15,7 +15,14 @@ Determinism is enforced structurally:
 * The sorted set is sliced into contiguous MPC cells and each cell runs
   the batched Shamir deal of the sharded campaign layer
   (:func:`repro.analysis.sharding._mpc_cell_rounds`'s algebra) under
-  ``child_seed(window_seed, "cell", index)``.
+  ``child_seed(window_seed, "cell", index)``: every member deals a
+  degree-⌊m/3⌋ polynomial over ``⌊m/3⌋ + 1`` collector points and
+  :meth:`repro.sss.scheme.ShamirScheme.deal_point_sums` returns what
+  each collector holds.  On the default field with numpy it draws the
+  cell's coefficients in one DRBG read and evaluates every member at
+  every point with the matrix Horner kernel; its sums are bit-identical
+  to the scalar ``split_many`` deal (the path without numpy), so the
+  backend never shows in a total or in what recovery re-verifies.
 * Cell sums fold through :func:`repro.analysis.sharding.cross_cell_aggregate`
   — the same cross-cell round batch campaigns use — under the window
   seed, so the service path and the batch ``metering`` oracle share one
@@ -75,24 +82,13 @@ class WindowAggregate:
     degree: int
 
 
-def _cell_sum(
-    values: Sequence[int],
-    dealer_ids: Sequence[int],
-    cell_seed: int,
-) -> int:
+def _cell_sum(values: Sequence[int], cell_seed: int) -> int:
     """One cell's MPC share-algebra sum (the batch layer's cell round)."""
     field = PrimeField()
     degree = degree_for_cell(len(values))
     scheme = ShamirScheme(field, degree)
-    points = list(range(1, degree + 2))
-    prime = field.prime
     rng = AesCtrDrbg.from_seed(child_seed(cell_seed, "round", 0))
-    batches = scheme.split_many(list(values), points, rng, dealer_ids=list(dealer_ids))
-    point_sums = dict.fromkeys(points, 0)
-    for shares in batches:
-        for share in shares:
-            x = share.x.value
-            point_sums[x] = (point_sums[x] + share.y.value) % prime
+    point_sums = scheme.deal_point_sums(values, range(1, degree + 2), rng)
     (value,) = reconstruct_many_from_sums(field, [point_sums], degree)
     return value.value
 
@@ -128,11 +124,7 @@ def aggregate_window(
         chunk = ordered[start : start + size]
         chunk_values = values[start : start + size]
         start += size
-        cell_sum = _cell_sum(
-            chunk_values,
-            [s.device for s in chunk],
-            child_seed(wseed, "cell", index),
-        )
+        cell_sum = _cell_sum(chunk_values, child_seed(wseed, "cell", index))
         cell_results.append(
             CellResult(
                 index=index,
@@ -184,11 +176,7 @@ def aggregate_shards(
     cell_results: list[CellResult] = []
     for shard, ordered in per_shard:
         chunk_values = [s.value % prime for s in ordered]
-        cell_sum = _cell_sum(
-            chunk_values,
-            [s.device for s in ordered],
-            child_seed(wseed, "cell", shard),
-        )
+        cell_sum = _cell_sum(chunk_values, child_seed(wseed, "cell", shard))
         cell_results.append(
             CellResult(
                 index=shard,

@@ -5,14 +5,25 @@ evaluated at given public points, reconstruct from any ``degree + 1`` of
 them.  The aggregation protocol in :mod:`repro.sss.aggregation` composes
 many dealers' shares; this class is the single-dealer building block and
 is also used directly by the privacy analysis.
+
+:meth:`ShamirScheme.deal_point_sums` is the collector-side form of a
+whole cell's deal: what every collector point holds once each dealer's
+share has been added in.  Over the default Mersenne-61 field it draws
+all coefficients in one keystream read and evaluates every dealer at
+every point with the numpy matrix Horner; the result is bit-identical
+to summing :meth:`ShamirScheme.split_many`, which stays the reference
+(and the only path without numpy or off the fast path).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from repro import fastpath
+from repro.crypto.prng import AesCtrDrbg
 from repro.errors import ReconstructionError, SecretSharingError
-from repro.field.kernels import horner_eval_many
+from repro.field import kernels
+from repro.field.kernels import M61, horner_eval_many
 from repro.field.lagrange import interpolate_constant, interpolate_polynomial
 from repro.field.polynomial import Polynomial
 from repro.field.prime_field import FieldElement, IntoElement, PrimeField
@@ -133,6 +144,73 @@ class ShamirScheme:
             )
         return batches
 
+    def deal_point_sums(
+        self,
+        secrets: Sequence[IntoElement],
+        points: Sequence[IntoElement],
+        rng,
+    ) -> dict[int, int]:
+        """Deal every secret over ``points`` and sum the shares per point.
+
+        Returns ``{x: Σ_d f_d(x) mod p}``, the values the collectors at
+        ``points`` hold after receiving one share from each dealer —
+        equal, bit for bit and with the same ``rng`` stream consumed, to
+        summing ``split_many(secrets, points, rng)`` per point.  Every
+        dealer's share at every point is still computed; only the
+        per-share ``Share`` objects are skipped.
+
+        The batched path runs when the fast and vector backends are on,
+        numpy is present, the field is GF(2**61 - 1), every point is
+        below :data:`~repro.field.kernels.M61_MATRIX_POINT_LIMIT` and
+        ``rng`` is an :class:`~repro.crypto.prng.AesCtrDrbg` (whose
+        ``getrandbits(61)`` is one 8-byte big-endian word ``>> 3``);
+        otherwise the scalar ``split_many`` sum runs.
+        """
+        elements = self._validated_points(points)
+        xs = [e.value for e in elements]
+        if (
+            fastpath.enabled()
+            and fastpath.vector_enabled()
+            and kernels.HAVE_NUMPY
+            and self._field.prime == M61
+            and self._degree >= 1
+            and max(xs) < kernels.M61_MATRIX_POINT_LIMIT
+            and isinstance(rng, AesCtrDrbg)
+        ):
+            constants = [self._field(secret).value for secret in secrets]
+            coefficients = self._draw_m61_coefficients(len(constants), rng)
+            sums = kernels.horner_point_sums_m61(constants, coefficients, xs)
+            return dict(zip(xs, sums))
+        prime = self._field.prime
+        totals = dict.fromkeys(xs, 0)
+        for shares in self.split_many(secrets, xs, rng):
+            for share in shares:
+                x = share.x.value
+                totals[x] = (totals[x] + share.y.value) % prime
+        return totals
+
+    def _draw_m61_coefficients(self, dealers: int, rng: AesCtrDrbg):
+        """The random coefficients of ``dealers`` polynomials, in one read.
+
+        Stream-identical to ``dealers`` calls of
+        :meth:`Polynomial.random_with_secret`: per dealer, ``degree - 1``
+        draws of ``randrange(p)`` then ``1 + randrange(p - 1)``, each a
+        61-bit ``getrandbits`` candidate rejected when not below its
+        bound.  All candidates are read at once; if any is rejected
+        (probability about ``3 * 2**-61`` per dealer) the sampler is
+        replayed in order over the same words, continuing on the stream.
+        Returns ``(dealers, degree)`` coefficients, lowest degree first:
+        a ``uint64`` array, or nested lists after a replay.
+        """
+        degree = self._degree
+        size = 8 * dealers * degree
+        rng.prefill(size)
+        draws = kernels.words_m61(rng.random_bytes(size)).reshape(dealers, degree)
+        if (draws[:, :-1] >= M61).any() or (draws[:, -1] >= M61 - 1).any():
+            return _replay_rejections(draws.ravel().tolist(), dealers, degree, rng)
+        draws[:, -1] += 1
+        return draws
+
     def reconstruct(self, shares: Sequence[Share]) -> FieldElement:
         """Reconstruct the secret from at least ``degree + 1`` shares."""
         self._validate_share_set(shares)
@@ -165,3 +243,30 @@ class ShamirScheme:
 
     def __repr__(self) -> str:
         return f"ShamirScheme(degree={self._degree}, field=GF({self._field.prime}))"
+
+
+def _replay_rejections(
+    words: list[int], dealers: int, degree: int, rng: AesCtrDrbg
+) -> list[list[int]]:
+    """The rejection sampler of ``random_with_secret``, run over ``words``.
+
+    ``words`` are the 61-bit candidates already read from ``rng``; once
+    they run out, further candidates come from ``rng.getrandbits(61)``,
+    the next words of the same stream.
+    """
+    candidates = iter(words)
+
+    def draw(bound: int) -> int:
+        while True:
+            candidate = next(candidates, None)
+            if candidate is None:
+                candidate = rng.getrandbits(61)
+            if candidate < bound:
+                return candidate
+
+    rows = []
+    for _ in range(dealers):
+        row = [draw(M61) for _ in range(degree - 1)]
+        row.append(1 + draw(M61 - 1))
+        rows.append(row)
+    return rows

@@ -92,6 +92,61 @@ class TestHorner:
         ]
 
 
+edge_residues = st.one_of(
+    residues, st.sampled_from([0, 1, MERSENNE_61 - 2, MERSENNE_61 - 1])
+)
+matrix_points = st.one_of(
+    st.integers(min_value=1, max_value=kernels.M61_MATRIX_POINT_LIMIT - 1),
+    st.just(kernels.M61_MATRIX_POINT_LIMIT - 1),
+)
+
+
+@pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="numpy absent")
+class TestHornerMatrixM61:
+    @given(
+        rows=st.integers(min_value=1, max_value=6).flatmap(
+            lambda width: st.lists(
+                st.lists(edge_residues, min_size=width, max_size=width),
+                min_size=1,
+                max_size=8,
+            )
+        ),
+        xs=st.lists(matrix_points, min_size=1, max_size=10),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_horner_eval_many(self, rows, xs):
+        constants = [row[0] for row in rows]
+        coefficients = [row[1:] for row in rows]
+        matrix = kernels.horner_eval_matrix_m61(constants, coefficients, xs)
+        assert matrix.tolist() == [
+            kernels.horner_eval_many(row, xs, MERSENNE_61) for row in rows
+        ]
+        assert kernels.horner_point_sums_m61(constants, coefficients, xs) == [
+            sum(column) % MERSENNE_61 for column in zip(*matrix.tolist())
+        ]
+
+    def test_all_maximal_inputs(self):
+        # Largest residues at the largest point: every partial product and
+        # the column sums sit at their bounds.
+        rows = [[MERSENNE_61 - 1] * 40 for _ in range(64)]
+        xs = [kernels.M61_MATRIX_POINT_LIMIT - 1, 1, 2]
+        matrix = kernels.horner_eval_matrix_m61(
+            [row[0] for row in rows], [row[1:] for row in rows], xs
+        )
+        expected = kernels.horner_eval_many(rows[0], xs, MERSENNE_61)
+        assert matrix.tolist() == [expected] * len(rows)
+        assert kernels.horner_point_sums_m61(
+            [row[0] for row in rows], [row[1:] for row in rows], xs
+        ) == [value * len(rows) % MERSENNE_61 for value in expected]
+
+    def test_words_m61_is_getrandbits_61(self):
+        raw = bytes(range(256)) + b"\xff" * 16
+        words = kernels.words_m61(raw).tolist()
+        assert words == [
+            int.from_bytes(raw[i : i + 8], "big") >> 3 for i in range(0, len(raw), 8)
+        ]
+
+
 class TestLagrangeWeights:
     @given(
         xs=st.lists(
