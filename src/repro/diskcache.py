@@ -52,7 +52,7 @@ import struct
 import tempfile
 import time
 import zlib
-from typing import Any, Callable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 #: Bump when the serialized form of any cached artifact changes shape.
 CACHE_VERSION = 1
@@ -395,14 +395,17 @@ class AppendLog:
 
     The durability contract the aggregation daemon builds on:
 
-    * **Framed records** — every :meth:`append` writes one frame:
+    * **Framed records** — every record is one frame:
       ``magic + length + crc32 + payload``.  A reader never has to guess
       record boundaries, and any bit flip fails the CRC.
-    * **fsync'd appends** — with ``fsync=True`` (the default) ``append``
-      returns only after ``os.fsync``; an acknowledged record survives a
-      hard kill of the process *and* of the machine.  ``fsync=False``
-      trades that for throughput (tests, benchmarks); :meth:`sync` is
-      the explicit barrier either way.
+    * **fsync'd appends** — with ``fsync=True`` (the default) each
+      :meth:`append` or :meth:`append_many` call returns only after one
+      ``os.fsync``; an acknowledged record survives a hard kill of the
+      process *and* of the machine.  A batch costs one write and one
+      fsync however many records it carries (group commit); a crash
+      inside it leaves a whole-frame prefix plus a torn tail.
+      ``fsync=False`` trades durability for throughput (tests,
+      benchmarks); :meth:`sync` is the explicit barrier either way.
     * **Torn tails tolerated** — a writer killed mid-append leaves a
       partial frame.  :meth:`replay` yields every complete, CRC-valid
       record and stops cleanly at the first damaged one; opening the log
@@ -418,50 +421,46 @@ class AppendLog:
         self.path = pathlib.Path(path)
         self.fsync = bool(fsync)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._valid_size, self.torn_bytes = self._scan()
-        if self.torn_bytes:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(self._valid_size)
-        self._handle = open(self.path, "ab")
-        self.records = self._count
-
-    def _scan(self) -> tuple[int, int]:
-        """Byte length of the valid prefix, and torn bytes beyond it."""
-        self._count = 0
         try:
             size = self.path.stat().st_size
         except FileNotFoundError:
-            return 0, 0
-        valid = 0
-        with open(self.path, "rb") as handle:
-            while True:
-                header = handle.read(_LOG_HEADER.size)
-                if len(header) < _LOG_HEADER.size:
-                    break
-                magic, length, crc = _LOG_HEADER.unpack(header)
-                if magic != LOG_MAGIC or length > LOG_MAX_RECORD:
-                    break
-                payload = handle.read(length)
-                if len(payload) < length or zlib.crc32(payload) != crc:
-                    break
-                valid += _LOG_HEADER.size + length
-                self._count += 1
-        return valid, size - valid
+            size = 0
+        self.records = 0
+        valid_size = 0
+        for payload in read_log_records(self.path):
+            valid_size += _LOG_HEADER.size + len(payload)
+            self.records += 1
+        self.torn_bytes = size - valid_size
+        if self.torn_bytes:
+            with open(self.path, "r+b") as handle:
+                handle.truncate(valid_size)
+        self._handle = open(self.path, "ab")
 
     def append(self, payload: bytes) -> int:
         """Durably append one record; returns its record index."""
-        if len(payload) > LOG_MAX_RECORD:
-            raise ValueError(
-                f"record of {len(payload)} bytes exceeds the "
-                f"{LOG_MAX_RECORD}-byte frame cap"
-            )
-        frame = _LOG_HEADER.pack(LOG_MAGIC, len(payload), zlib.crc32(payload))
-        self._handle.write(frame + payload)
+        return self.append_many((payload,))
+
+    def append_many(self, payloads: Iterable[bytes]) -> int:
+        """Durably append a batch of records; returns the first's index.
+
+        Every payload is checked against the frame cap before any byte is
+        written; then the frames go out in one write and one fsync.
+        """
+        chunks = []
+        for payload in payloads:
+            if len(payload) > LOG_MAX_RECORD:
+                raise ValueError(
+                    f"record of {len(payload)} bytes exceeds the "
+                    f"{LOG_MAX_RECORD}-byte frame cap"
+                )
+            header = _LOG_HEADER.pack(LOG_MAGIC, len(payload), zlib.crc32(payload))
+            chunks += (header, payload)
+        self._handle.write(b"".join(chunks))
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
         index = self.records
-        self.records += 1
+        self.records += len(chunks) // 2
         return index
 
     def sync(self) -> None:
@@ -471,18 +470,7 @@ class AppendLog:
 
     def replay(self) -> Iterator[bytes]:
         """Yield every complete record in append order (torn tail skipped)."""
-        with open(self.path, "rb") as handle:
-            while True:
-                header = handle.read(_LOG_HEADER.size)
-                if len(header) < _LOG_HEADER.size:
-                    return
-                magic, length, crc = _LOG_HEADER.unpack(header)
-                if magic != LOG_MAGIC or length > LOG_MAX_RECORD:
-                    return
-                payload = handle.read(length)
-                if len(payload) < length or zlib.crc32(payload) != crc:
-                    return
-                yield payload
+        return read_log_records(self.path)
 
     def close(self) -> None:
         """Flush and close the underlying file."""
@@ -500,6 +488,21 @@ class AppendLog:
         self.close()
 
 
+def _read_frames(handle: BinaryIO) -> Iterator[bytes]:
+    """The one frame scanner: payloads up to the first damaged frame."""
+    while True:
+        header = handle.read(_LOG_HEADER.size)
+        if len(header) < _LOG_HEADER.size:
+            return
+        magic, length, crc = _LOG_HEADER.unpack(header)
+        if magic != LOG_MAGIC or length > LOG_MAX_RECORD:
+            return
+        payload = handle.read(length)
+        if len(payload) < length or zlib.crc32(payload) != crc:
+            return
+        yield payload
+
+
 def read_log_records(path: str | os.PathLike) -> Iterator[bytes]:
     """Read-only replay of an append log's valid record prefix.
 
@@ -513,14 +516,4 @@ def read_log_records(path: str | os.PathLike) -> Iterator[bytes]:
     except FileNotFoundError:
         return
     with handle:
-        while True:
-            header = handle.read(_LOG_HEADER.size)
-            if len(header) < _LOG_HEADER.size:
-                return
-            magic, length, crc = _LOG_HEADER.unpack(header)
-            if magic != LOG_MAGIC or length > LOG_MAX_RECORD:
-                return
-            payload = handle.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                return
-            yield payload
+        yield from _read_frames(handle)

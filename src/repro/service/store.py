@@ -16,7 +16,10 @@ the window journal) holding four record kinds:
   evidence), written *before* their close record;
 * ``WINDOW_CLOSE`` — the close itself.  A close record **commits** the
   window: contributions with no trailing close are a torn publish and
-  are dropped on replay, so publishes are atomic per window.
+  are dropped on replay, so publishes are atomic per window.  Replay
+  keys pending contributions by ``(window, device, seq)``, so when a
+  torn window is re-published its frames replace the torn attempt's
+  instead of billing twice.
 * ``DEVICE_TOTAL`` — compaction output.  :meth:`compact` folds retired
   windows' contributions into one :class:`~repro.service.wire
   .DeviceTotal` per device and rewrites the log; because integer sums
@@ -26,6 +29,13 @@ the window journal) holding four record kinds:
 * ``STORE_CHECKPOINT`` — the compaction horizon.  Journal ingest skips
   windows at or below it, so re-ingesting a daemon directory after a
   compaction can never resurrect (and double-bill) a retired window.
+
+A publish is one batch — every contribution frame plus the close frame
+in one write and one fsync (:meth:`repro.diskcache.AppendLog
+.append_many`), after every contribution is validated, so a refused
+publish writes nothing.  Durability is the same as one fsync per frame:
+``publish`` returns only after its fsync, and a crash inside the batch
+leaves a whole-frame prefix with no close, which replay drops.
 
 Ingest is **idempotent**: :meth:`ingest` replays daemon journals through
 the read-only scanner (:func:`repro.service.wal.replay_journal` — never
@@ -108,7 +118,8 @@ class ResultStore:
     # -- state reconstruction --------------------------------------------------
 
     def _replay(self) -> None:
-        pending: list[ShareSubmission] = []
+        #: window -> (device, seq) -> contribution awaiting its close.
+        pending: dict[int, dict[tuple[int, int], ShareSubmission]] = {}
         payloads = (
             diskcache.read_log_records(self.path)
             if self._log is None
@@ -121,12 +132,18 @@ class ResultStore:
                 self.skipped += 1
                 continue
             if isinstance(record, ShareSubmission):
-                pending.append(record)
+                # Keyed by the wire's dedup identity: a window re-published
+                # after a torn attempt replaces that attempt's frames
+                # instead of billing them a second time.
+                window = pending.setdefault(record.window, {})
+                key = (record.device, record.seq)
+                if key in window:
+                    self.skipped += 1
+                window[key] = record
             elif isinstance(record, WindowSummary):
-                contributions = [s for s in pending if s.window == record.window]
-                pending = [s for s in pending if s.window != record.window]
+                contributions = pending.pop(record.window, {})
                 self._windows[record.window] = _WindowEntry(
-                    record, contributions
+                    record, list(contributions.values())
                 )
             elif isinstance(record, DeviceTotal):
                 self._compacted[record.device] = self._merge_total(
@@ -139,7 +156,7 @@ class ResultStore:
         # Contributions with no committing close record are a torn
         # publish — the crash hit between the SUBMIT frames and their
         # WINDOW_CLOSE — and are discarded, keeping publishes atomic.
-        self.skipped += len(pending)
+        self.skipped += sum(len(window) for window in pending.values())
 
     @staticmethod
     def _merge_total(
@@ -161,9 +178,10 @@ class ResultStore:
     ) -> None:
         """Record one closed window and the contributions it folded.
 
-        Contribution frames land before the close frame; the close
-        commits them.  Publishing an already-held window raises — the
-        store is append-only per window.
+        Every contribution is validated before any byte is written, then
+        the contribution frames and the committing close frame go to the
+        log as one batch: one write, one fsync.  Publishing an
+        already-held window raises — the store is append-only per window.
         """
         if summary.window in self._windows:
             raise ServiceError(
@@ -174,16 +192,26 @@ class ResultStore:
                 f"window {summary.window} is behind the store's compaction "
                 f"horizon {self.horizon}"
             )
+        identities = set()
         for submission in contributions:
             if submission.window != summary.window:
                 raise ServiceError(
                     f"contribution of window {submission.window} published "
                     f"under close of window {summary.window}"
                 )
-            if self._log is not None:
-                self._log.append(wire.encode_record(submission))
+            identity = (submission.device, submission.seq)
+            if identity in identities:
+                raise ServiceError(
+                    f"contribution (device {submission.device}, seq "
+                    f"{submission.seq}) published twice in window "
+                    f"{summary.window}"
+                )
+            identities.add(identity)
         if self._log is not None:
-            self._log.append(wire.encode_record(summary))
+            self._log.append_many(
+                [wire.encode_record(s) for s in contributions]
+                + [wire.encode_record(summary)]
+            )
         self._windows[summary.window] = _WindowEntry(
             summary, list(contributions)
         )
@@ -253,17 +281,17 @@ class ResultStore:
         horizon = max(self.horizon, retired[-1])
         tmp_path = self.path.with_suffix(self.path.suffix + ".compact")
         tmp_path.unlink(missing_ok=True)
-        rewritten = diskcache.AppendLog(tmp_path, fsync=self.fsync)
-        rewritten.append(wire.encode_record(StoreCheckpoint(horizon)))
-        for device in sorted(folded):
-            rewritten.append(wire.encode_record(folded[device]))
+        records: list = [StoreCheckpoint(horizon)]
+        records.extend(folded[device] for device in sorted(folded))
         for window in sorted(self._windows):
             if window in retired:
                 continue
             entry = self._windows[window]
-            for submission in entry.contributions:
-                rewritten.append(wire.encode_record(submission))
-            rewritten.append(wire.encode_record(entry.summary))
+            records.extend(entry.contributions)
+            records.append(entry.summary)
+        # One write, then the explicit barrier: one fsync for the rewrite.
+        rewritten = diskcache.AppendLog(tmp_path, fsync=False)
+        rewritten.append_many(wire.encode_record(r) for r in records)
         rewritten.sync()
         rewritten.close()
         self._log.close()

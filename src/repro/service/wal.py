@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import pathlib
 from dataclasses import dataclass, field
+from typing import Iterable
 
 try:  # pragma: no cover - fcntl is POSIX-only; locks degrade to no-ops
     import fcntl
@@ -151,8 +152,22 @@ def replay_journal(path: str | os.PathLike) -> JournalState:
     the read side the result store and ``repro query`` build on.  A
     missing file replays as empty.
     """
+    return _journal_state(diskcache.read_log_records(path))
+
+
+def _journal_state(payloads: Iterable[bytes]) -> JournalState:
+    """Decode journal payloads into the state they describe.
+
+    Records that frame correctly at the log layer but fail to decode as
+    wire records (a version skew, a corrupted-but-CRC-colliding frame)
+    are counted in ``skipped`` rather than aborting recovery: the
+    journal's durability contract is per-record, and one bad record must
+    not take down every window behind it.  A decodable wire record that
+    is not a journal record (e.g. a result-store ``DeviceTotal`` written
+    to the wrong file) is foreign, not fatal — same per-record stance.
+    """
     state = JournalState()
-    for payload in diskcache.read_log_records(path):
+    for payload in payloads:
         try:
             record = wire.decode_record(payload)
         except WireError:
@@ -215,29 +230,10 @@ class WindowJournal:
     def replay(self) -> JournalState:
         """Reconstruct journal state from the valid record prefix.
 
-        Records that frame correctly at the log layer but fail to decode
-        as wire records (a version skew, a corrupted-but-CRC-colliding
-        frame) are counted in ``skipped`` rather than aborting recovery:
-        the journal's durability contract is per-record, and one bad
-        record must not take down every window behind it.
+        Undecodable and foreign records are counted in ``skipped``, not
+        fatal (see :func:`_journal_state`).
         """
-        state = JournalState()
-        for payload in self._log.replay():
-            try:
-                record = wire.decode_record(payload)
-            except WireError:
-                state.skipped += 1
-                continue
-            if isinstance(record, ShareSubmission):
-                state.accepted.append(record)
-            elif isinstance(record, WindowSummary):
-                state.closes[record.window] = record
-            else:
-                # A decodable wire record that is not a journal record
-                # (e.g. a result-store DeviceTotal written to the wrong
-                # file) is foreign, not fatal — same per-record stance.
-                state.skipped += 1
-        return state
+        return _journal_state(self._log.replay())
 
     def sync(self) -> None:
         """Explicit durability barrier."""

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import pytest
 
+from repro import diskcache
 from repro.core.metrics import WindowSummary
 from repro.errors import ServiceError
-from repro.service import ResultStore
+from repro.service import ResultStore, ServiceClient, loadgen, wire
+from repro.service.client import STORE_NAME
 from repro.service.daemon import ServiceConfig, ShardedServiceDaemon
 from repro.service.wire import ShareSubmission
 
@@ -39,6 +44,12 @@ def fill(store: ResultStore, windows: int, devices: int = 4) -> None:
     for window in range(windows):
         contributions = readings(window, devices)
         store.publish(close_of(window, contributions), contributions)
+
+
+def feed_windows(client: ServiceClient, devices: int, windows: int) -> None:
+    for window in range(windows):
+        for s in loadgen.window_submissions(devices, window):
+            assert client.submit(s.device, s.seq, s.window, s.value).accepted
 
 
 @pytest.fixture
@@ -78,6 +89,39 @@ class TestPublishAndQuery:
             with pytest.raises(ServiceError, match="published under close"):
                 store.publish(close_of(1, []), readings(0, 2))
 
+    def test_duplicate_identity_in_one_publish_refused(self, store_file):
+        contributions = readings(0, 2)
+        with ResultStore(store_file, fsync=False) as store:
+            with pytest.raises(ServiceError, match="published twice"):
+                store.publish(
+                    close_of(0, contributions), contributions + contributions[:1]
+                )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda: (close_of(1, readings(1, 3)), readings(1, 2) + readings(0, 1)),
+            lambda: (close_of(0, readings(0, 3)), readings(0, 3)),
+            lambda: (close_of(1, readings(1, 2)), readings(1, 2) * 2),
+        ],
+        ids=["mismatched-window", "already-held", "duplicate-identity"],
+    )
+    def test_refused_publish_writes_nothing(self, store_file, bad):
+        with ResultStore(store_file, fsync=False) as store:
+            fill(store, windows=1)
+            size = store_file.stat().st_size
+            summary, contributions = bad()
+            with pytest.raises(ServiceError):
+                store.publish(summary, contributions)
+            assert store_file.stat().st_size == size
+            assert store.windows == (0,)
+            # A retry of the window with the right contributions bills once.
+            store.publish(close_of(1, readings(1, 3)), readings(1, 3))
+        with ResultStore(store_file, fsync=False) as reopened:
+            assert reopened.skipped == 0
+            assert reopened.contributions(1) == readings(1, 3)
+            assert reopened.device_total(0) == 100 + 200
+
     def test_missing_device_bills_zero(self, store_file):
         with ResultStore(store_file, fsync=False) as store:
             fill(store, windows=1, devices=2)
@@ -87,9 +131,6 @@ class TestPublishAndQuery:
 
 class TestTornPublishAtomicity:
     def test_contributions_without_close_are_dropped(self, store_file):
-        from repro import diskcache
-        from repro.service import wire
-
         store = ResultStore(store_file, fsync=False)
         fill(store, windows=1)
         # Simulate a crash between the SUBMIT frames and their close:
@@ -108,6 +149,113 @@ class TestTornPublishAtomicity:
         reopened.publish(close_of(1, contributions), contributions)
         assert reopened.windows == (0, 1)
         reopened.close()
+
+
+    def test_republished_torn_window_bills_once_on_every_reopen(
+        self, tmp_path
+    ):
+        """A torn publish, healed on reopen, must not bill twice later.
+
+        Window 1's store publish dies after 3 of its 4 contribution
+        frames.  The first reopen drops the torn frames and re-publishes
+        the window from the journals; the second reopen replays both the
+        torn frames and the re-publish and must still bill each device
+        exactly once.
+        """
+        service_dir = tmp_path / "svc"
+        cfg = ServiceConfig(seed=5, cells=2, fsync=False)
+        client = ServiceClient(cfg, service_dir, shards=2)
+        feed_windows(client, devices=4, windows=2)
+        client.close_window(0)
+
+        def killed(summary, contributions):
+            raise KeyboardInterrupt("killed inside the store publish")
+
+        client.store.publish = killed
+        with pytest.raises(KeyboardInterrupt):
+            client.close_window(1)
+        client.hard_stop()
+        torn = diskcache.AppendLog(service_dir / STORE_NAME, fsync=False)
+        for submission in sorted(
+            loadgen.window_submissions(4, 1), key=lambda s: s.device
+        )[:3]:
+            torn.append(wire.encode_record(submission))
+        torn.close()
+
+        oracle = {d: loadgen.expected_device_total(d, 2) for d in range(4)}
+        for _ in range(2):
+            reopened = ServiceClient(cfg, service_dir, shards=2)
+            extract = reopened.billing_extract()
+            assert {d: bill.total for d, bill in extract.items()} == oracle
+            assert {bill.windows for bill in extract.values()} == {2}
+            reopened.stop()
+
+
+class TestGroupCommit:
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd))[1]
+        )
+        return calls
+
+    def test_publish_is_one_fsync(self, store_file, fsyncs):
+        contributions = readings(0, 400)
+        with ResultStore(store_file, fsync=True) as store:
+            fsyncs.clear()
+            store.publish(close_of(0, contributions), contributions)
+            assert len(fsyncs) == 1
+        with ResultStore(store_file, fsync=False) as reopened:
+            assert reopened.contributions(0) == contributions
+
+    @pytest.mark.parametrize("windows", [2, 12])
+    def test_compaction_fsyncs_do_not_grow_with_the_log(
+        self, store_file, fsyncs, windows
+    ):
+        with ResultStore(store_file, fsync=True) as store:
+            fill(store, windows=windows, devices=8)
+            fsyncs.clear()
+            store.compact(through_window=windows // 2)
+            # The old log's close and the rewrite's barrier.
+            assert len(fsyncs) == 2
+
+
+class TestKillAnywherePublish:
+    def test_every_truncation_inside_a_publish_bills_exactly(self, tmp_path):
+        """Kill the store at every byte of one batched publish.
+
+        Each truncated copy of the service directory is reopened twice:
+        the first reopen heals the window from the journals, the second
+        replays the torn prefix *and* the heal.  Both must bill every
+        device exactly what the load generator says.
+        """
+        devices = 4
+        cfg = ServiceConfig(seed=9, cells=2, fsync=False)
+        service_dir = tmp_path / "svc"
+        client = ServiceClient(cfg, service_dir, shards=2)
+        feed_windows(client, devices=devices, windows=2)
+        client.close_window(0)
+        start = (service_dir / STORE_NAME).stat().st_size
+        client.close_window(1)
+        client.stop()
+        end = (service_dir / STORE_NAME).stat().st_size
+        whole = (service_dir / STORE_NAME).read_bytes()
+        oracle = {
+            d: loadgen.expected_device_total(d, 2) for d in range(devices)
+        }
+        for offset in range(start, end + 1):
+            copy = tmp_path / f"kill-{offset}"
+            shutil.copytree(service_dir, copy)
+            (copy / STORE_NAME).write_bytes(whole[:offset])
+            for _ in range(2):
+                reopened = ServiceClient(cfg, copy, shards=2)
+                extract = reopened.billing_extract()
+                reopened.stop()
+                assert {d: b.total for d, b in extract.items()} == oracle, offset
+                assert {b.windows for b in extract.values()} == {2}, offset
+            shutil.rmtree(copy)
 
 
 class TestCompactionAndRetention:

@@ -103,6 +103,77 @@ class TestAppendLog:
         log.close()
 
 
+
+class TestAppendMany:
+    def test_batch_bytes_identical_to_single_appends(self, tmp_path):
+        payloads = [b"", b"a", b"\x00" * 300, bytes(range(256))]
+        with diskcache.AppendLog(tmp_path / "one.log", fsync=False) as log:
+            for payload in payloads:
+                log.append(payload)
+        with diskcache.AppendLog(tmp_path / "batch.log", fsync=False) as log:
+            assert log.append_many([b"head"]) == 0
+            assert log.append_many(payloads) == 1
+            assert log.records == 1 + len(payloads)
+        batch = (tmp_path / "batch.log").read_bytes()
+        single = (tmp_path / "one.log").read_bytes()
+        head = diskcache._LOG_HEADER.size + len(b"head")
+        assert batch[head:] == single
+        reopened = diskcache.AppendLog(tmp_path / "batch.log", fsync=False)
+        assert reopened.records == 1 + len(payloads)
+        assert list(reopened.replay()) == [b"head", *payloads]
+        reopened.close()
+
+    def test_oversized_payload_mid_batch_writes_nothing(self, tmp_path):
+        path = tmp_path / "big.log"
+        with diskcache.AppendLog(path, fsync=False) as log:
+            log.append(b"kept")
+            size = path.stat().st_size
+            with pytest.raises(ValueError, match="frame cap"):
+                log.append_many(
+                    [b"a", b"x" * (diskcache.LOG_MAX_RECORD + 1), b"b"]
+                )
+            assert log.records == 1
+            assert path.stat().st_size == size
+            assert log.append(b"next") == 1
+        assert list(diskcache.read_log_records(path)) == [b"kept", b"next"]
+
+    def test_batch_is_one_fsync(self, tmp_path, monkeypatch):
+        import os
+
+        calls = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd))[1]
+        )
+        with diskcache.AppendLog(tmp_path / "sync.log", fsync=True) as log:
+            log.append_many([b"r%d" % index for index in range(400)])
+            assert len(calls) == 1
+            log.append(b"one")
+            assert len(calls) == 2
+
+    def test_torn_batch_reopens_to_whole_frame_prefix(self, tmp_path):
+        path = tmp_path / "torn.log"
+        batch = [b"first", b"", b"third" * 7, b"fourth"]
+        with diskcache.AppendLog(path, fsync=False) as log:
+            log.append(b"before")
+            start = path.stat().st_size
+            log.append_many(batch)
+        whole = path.read_bytes()
+        # Frame boundaries inside the batch: start, after each record.
+        bounds = [start]
+        for payload in batch:
+            bounds.append(bounds[-1] + diskcache._LOG_HEADER.size + len(payload))
+        assert bounds[-1] == len(whole)
+        for offset in range(start, len(whole) + 1):
+            path.write_bytes(whole[:offset])
+            kept = max(i for i, bound in enumerate(bounds) if bound <= offset)
+            reopened = diskcache.AppendLog(path, fsync=False)
+            assert reopened.records == 1 + kept, offset
+            assert reopened.torn_bytes == offset - bounds[kept], offset
+            assert list(reopened.replay()) == [b"before", *batch[:kept]]
+            reopened.close()
+            assert path.stat().st_size == bounds[kept]
+
 class TestWindowJournal:
     def test_typed_replay_groups_records(self, tmp_path):
         journal = WindowJournal(tmp_path / "w.wal", fsync=False)
